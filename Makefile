@@ -6,7 +6,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2025.1.1
 STATICCHECK_PKG = honnef.co/go/tools/cmd/staticcheck@$(STATICCHECK_VERSION)
 
-.PHONY: all build test race vet lint fuzz bench bench-parallel figures profile cycleprofile gate baseline trajectory serve loadsmoke clean
+.PHONY: all build test race vet lint perfbench-check fuzz bench bench-parallel figures profile cycleprofile gate baseline trajectory serve loadsmoke clean
 
 # The committed gate baseline (a two-leg slms-bench-legs/v1 record).
 SLMS_GATE_BASELINE ?= BENCH_7.json
@@ -33,6 +33,12 @@ lint: vet
 	else \
 		echo "lint: staticcheck $(STATICCHECK_VERSION) unavailable (no binary on PATH, module fetch failed); vet-only"; \
 	fi
+
+# perfbench is a nested module, outside the root `go test ./...`: vet
+# and test it on its own so an API change it imports fails here, not
+# only in a benchmark run.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Short fuzzing pass over the parser and the §4 filter (CI runs the
 # same; leave -fuzztime off for a long local session).

@@ -39,7 +39,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
 	"slms/internal/analysis"
 	"slms/internal/core"
@@ -48,7 +47,6 @@ import (
 	"slms/internal/obs"
 	"slms/internal/pipeline"
 	"slms/internal/prof"
-	"slms/internal/sched"
 	"slms/internal/slc"
 	"slms/internal/source"
 )
@@ -63,8 +61,8 @@ func main() {
 	useSLC := flag.Bool("slc", false, "run the full source-level-compiler driver (SLMS + fusion/interchange/mirroring/reduction-splitting)")
 	verify := flag.Bool("verify", false, "verify every transformation before printing (static proof, differential fallback)")
 	profPath := flag.String("profile", "", "simulate the transformed program on the reference machine and write its cycle profile (pprof) here")
-	schedName := flag.String("scheduler", "", "profile under the strong final compiler using this modulo-scheduling backend: one of "+strings.Join(sched.Names(), ", "))
-	effort := flag.String("effort", "", "exact-scheduler effort for -scheduler profiles: quick, standard or max")
+	schedName := flag.String("scheduler", "", "profile under the strong final compiler: ims (the heuristic) or exact (shorthand for -effort standard)")
+	effort := flag.String("effort", "", "profile under the strong final compiler with exact refutation below the heuristic's II: quick, standard or max")
 	tele := obs.RegisterFlags(flag.CommandLine)
 	flag.Parse()
 	tele.Activate()

@@ -35,14 +35,12 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"strings"
 
 	"slms/internal/core"
 	"slms/internal/machine"
 	"slms/internal/obs"
 	"slms/internal/pipeline"
 	"slms/internal/prof"
-	"slms/internal/sched"
 	"slms/internal/source"
 )
 
@@ -50,8 +48,8 @@ func main() {
 	machineName := flag.String("machine", "ia64", "ia64, power4, pentium or arm7")
 	compiler := flag.String("compiler", "weak", "weak (GCC-like) or strong (ICC/XLC-like)")
 	o0 := flag.Bool("O0", false, "disable compiler scheduling")
-	scheduler := flag.String("scheduler", "", "modulo-scheduling backend for strong compiles: one of "+strings.Join(sched.Names(), ", ")+" (default ims)")
-	effort := flag.String("effort", "", "exact-scheduler effort: quick, standard or max (under ims, also proves the optimality gap)")
+	scheduler := flag.String("scheduler", "", "modulo scheduling for strong compiles: ims (the heuristic, default) or exact (shorthand for -effort standard)")
+	effort := flag.String("effort", "", "exact refutation below the heuristic's II: quick, standard or max (proves the optimality gap and closes it)")
 	format := flag.String("format", "text", "text, json or pprof")
 	top := flag.Int("top", 20, "lines per hot-line table (text format)")
 	outPath := flag.String("o", "", "output file (default stdout)")

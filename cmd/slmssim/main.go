@@ -31,7 +31,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
 	"slms/internal/analysis"
 	"slms/internal/core"
@@ -40,7 +39,6 @@ import (
 	"slms/internal/obs"
 	"slms/internal/pipeline"
 	"slms/internal/prof"
-	"slms/internal/sched"
 	"slms/internal/sim"
 	"slms/internal/source"
 )
@@ -49,8 +47,8 @@ func main() {
 	machineName := flag.String("machine", "ia64", "ia64, power4, pentium or arm7")
 	compiler := flag.String("compiler", "weak", "weak (GCC-like) or strong (ICC/XLC-like)")
 	o0 := flag.Bool("O0", false, "disable compiler scheduling")
-	scheduler := flag.String("scheduler", "", "modulo-scheduling backend for strong compiles: one of "+strings.Join(sched.Names(), ", ")+" (default ims)")
-	effort := flag.String("effort", "", "exact-scheduler effort: quick, standard or max (under ims, also proves the optimality gap)")
+	scheduler := flag.String("scheduler", "", "modulo scheduling for strong compiles: ims (the heuristic, default) or exact (shorthand for -effort standard)")
+	effort := flag.String("effort", "", "exact refutation below the heuristic's II: quick, standard or max (proves the optimality gap and closes it)")
 	slms := flag.Bool("slms", false, "apply SLMS before compiling")
 	compare := flag.Bool("compare", false, "measure base vs SLMS and report the speedup")
 	dump := flag.Bool("dump", false, "print the lowered virtual ISA")

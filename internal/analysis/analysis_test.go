@@ -346,3 +346,35 @@ for (i = 0; i < 16; i++) { A[i] = B[i] * 3.0; }
 		t.Fatalf("identical programs diverged: %v", diffs)
 	}
 }
+
+// TestLintReportDeterministic renders the lint report of the kernels
+// whose loops carry several scalar recurrences, many times over: the
+// dependence edges must come out in one order, so the witness a
+// diagnostic names — and the report's bytes — never change between
+// identical runs.
+func TestLintReportDeterministic(t *testing.T) {
+	want := map[string]bool{"kernel24": true, "idamax": true, "idamax2": true, "stone3": true, "kernel20": true}
+	seen := map[string]bool{}
+	for _, k := range append(bench.Kernels(), bench.KernelsExtended()...) {
+		if !want[k.Name] || seen[k.Name] {
+			continue
+		}
+		seen[k.Name] = true
+		var first string
+		for i := 0; i < 30; i++ {
+			rep, err := analysis.LintProgram(k.Name, source.MustParse(k.Source), analysis.LintOptions{Core: core.DefaultOptions()})
+			if err != nil {
+				t.Fatalf("%s: %v", k.Name, err)
+			}
+			got := rep.Render(false)
+			if i == 0 {
+				first = got
+			} else if got != first {
+				t.Fatalf("%s: report differs on run %d:\n%s\nvs first:\n%s", k.Name, i+1, got, first)
+			}
+		}
+	}
+	if len(seen) != len(want) {
+		t.Fatalf("found %d of the %d kernels", len(seen), len(want))
+	}
+}

@@ -22,9 +22,10 @@ func OptgapKernels() []Kernel {
 	return []Kernel{
 		{
 			// A floating recurrence crossed with independent memory
-			// traffic: the heuristic lands at a double-digit II whose
-			// branch-and-bound refutation space is beyond the standard
-			// budget, pinning the budget-exhausted verdict in the census.
+			// traffic: the heuristic lands on the double-digit lower
+			// bound, whose branch-and-bound search space is beyond the
+			// standard budget. Its schedule witnesses that II, so the
+			// census proves it optimal without searching there.
 			Name: "optrec", Suite: "optgap",
 			Source: `float A[300]; float B[300]; float C[300]; float D[300];
 for (i = 1; i < 200; i++) {
@@ -38,7 +39,8 @@ for (i = 1; i < 200; i++) {
 		{
 			// Memory-unit saturation: five independent streams over two
 			// memory ports hold ResMII high while the dependence height is
-			// trivial — another undecidable-at-standard-budget shape.
+			// trivial — another shape only the heuristic's witness can
+			// decide at the standard budget.
 			Name: "optmem", Suite: "optgap",
 			Source: `float A[300]; float B[300]; float C[300]; float D[300]; float E[300];
 for (i = 0; i < 200; i++) {
@@ -51,8 +53,9 @@ for (i = 0; i < 200; i++) {
 		},
 		{
 			// A long float chain folded back over distance 2: RecMII ≈ 10,
-			// and refuting II−1 means exhausting ten residue rows per node
-			// — the budget cut fires well before the space is covered.
+			// and searching that II means ten residue rows per node — a
+			// search the budget would cut; the recurrence certificate
+			// and the heuristic's witness prove it instead.
 			Name: "optchain", Suite: "optgap",
 			Source: `float A[300]; float B[300];
 for (i = 2; i < 200; i++) {
@@ -134,10 +137,11 @@ type OptgapStat struct {
 	Rows []OptgapRow `json:"rows,omitempty"`
 }
 
-// OptgapCensus runs the heuristic scheduler over every counted
+// OptgapCensus runs the modulo-scheduling driver over every counted
 // innermost loop body of every kernel (on the ia64-like reference VLIW,
-// the paper's primary machine) and proves each achieved II against the
-// SDC-based exact scheduler at the given effort ("" = "standard").
+// the paper's primary machine): the heuristic's II is the incumbent,
+// and the SDC-based exact search at the given effort ("" = "standard")
+// refutes or beats every II below it.
 // Pure static scheduling: no simulation, so the census is cheap and
 // fully deterministic.
 func OptgapCensus(kernels []Kernel, effort string) ([]OptgapRow, OptgapStat, error) {

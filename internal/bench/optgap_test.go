@@ -80,6 +80,32 @@ func TestOptgapCensus(t *testing.T) {
 	}
 }
 
+// TestOptgapCensusEfforts pins the census at every effort level: the
+// heuristic's schedule witnesses its own II, so the exact search only
+// refutes the IIs below it, and no effort leaves a loop undecided. The
+// same three heuristic misses are closed at every effort.
+func TestOptgapCensusEfforts(t *testing.T) {
+	wantGaps := map[string][2]int{"kernel21": {4, 3}, "heurmiss": {6, 5}, "heurmiss2": {8, 7}}
+	for _, effort := range []string{"quick", "standard", "max"} {
+		rows, sum, err := OptgapCensus(OptgapCorpus(), effort)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sum.Loops != 36 || sum.ProvenOptimal != 33 || sum.Gaps != 3 || sum.Budget != 0 {
+			t.Errorf("%s: %d/%d proven optimal, %d gaps, %d budget-exhausted; want 33/36, 3, 0",
+				effort, sum.ProvenOptimal, sum.Loops, sum.Gaps, sum.Budget)
+		}
+		for _, r := range rows {
+			if r.Verdict != sched.VerdictGap {
+				continue
+			}
+			if w, ok := wantGaps[r.Kernel]; !ok || r.Loop != 1 || r.HeurII != w[0] || r.ExactII != w[1] {
+				t.Errorf("%s: unexpected gap %s#%d %d->%d", effort, r.Kernel, r.Loop, r.HeurII, r.ExactII)
+			}
+		}
+	}
+}
+
 // The census is pure static scheduling — identical inputs must yield
 // byte-identical rows, or the compare gate would flap. Quick effort
 // keeps the double run cheap; determinism is effort-independent.

@@ -2,6 +2,7 @@ package dep
 
 import (
 	"fmt"
+	"sort"
 
 	"slms/internal/sem"
 	"slms/internal/source"
@@ -363,7 +364,15 @@ func usesScalar(e source.Expr, name string) bool {
 
 // scalarEdges emits dependence edges for scalars according to their class.
 func (a *Analysis) scalarEdges(col *collector, opts Options) {
-	for name, si := range a.Scalars {
+	// Visit the scalars in name order: map order would shuffle the edge
+	// list between runs, and with it the recurrence a diagnostic names.
+	names := make([]string, 0, len(a.Scalars))
+	for name := range a.Scalars {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		si := a.Scalars[name]
 		if opts.IgnoreScalars[name] || si.Class == Invariant {
 			continue
 		}

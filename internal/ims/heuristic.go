@@ -5,43 +5,21 @@ import (
 	"slms/internal/sched"
 )
 
-func init() { sched.Register(Heuristic{}) }
-
-// Heuristic is Rau's iterative modulo scheduling placement as a
-// pluggable sched backend: a height-priority worklist filling the
-// modulo reservation table with eviction-based backtracking under a
-// budget of a small multiple of the instruction count. A failure means
-// the heuristic gave up, not that the II is infeasible — Caps().Exact
-// is false.
-type Heuristic struct {
-	// BudgetFactor scales the backtracking budget (placements allowed
-	// before giving up): budget = BudgetFactor·n + 32. 0 means the
-	// paper-era default of 6.
-	BudgetFactor int
-}
-
-// Name implements sched.Scheduler.
-func (Heuristic) Name() string { return "ims" }
-
-// Caps implements sched.Scheduler: heuristic failures prove nothing.
-func (Heuristic) Caps() sched.Caps { return sched.Caps{} }
-
-// Schedule attempts to place every node at initiation interval ii,
-// with eviction-based backtracking (Rau's iterative scheme). The
-// height-based priority order is memoized on the graph — the II search
-// retries this backend at bumped IIs, and the order never changes with
-// the II, so it is derived exactly once per graph (see
-// sched.Graph.PriorityOrder).
-func (h Heuristic) Schedule(g *sched.Graph, d *machine.Desc, ii int) (*sched.Schedule, error) {
+// heuristic is Rau's iterative modulo scheduling placement, the
+// driver's fixed placement function: it attempts to place every node at
+// initiation interval ii with a height-priority worklist filling the
+// modulo reservation table, and eviction-based backtracking under a
+// budget of 6·n+32 placements. A nil result means the heuristic gave up,
+// not that the II is infeasible. The height-based priority order is
+// memoized on the graph — the II search retries at bumped IIs, and the
+// order never changes with the II, so it is derived exactly once per
+// graph (see sched.Graph.PriorityOrder).
+func heuristic(g *sched.Graph, d *machine.Desc, ii int) *sched.Schedule {
 	n := g.N()
 	if ii < 1 {
-		return nil, sched.ErrGiveUp
+		return nil
 	}
-	factor := h.BudgetFactor
-	if factor <= 0 {
-		factor = 6
-	}
-	budget := factor*n + 32
+	budget := 6*n + 32
 
 	preds := make([][]sched.Edge, n)
 	succs := make([][]sched.Edge, n)
@@ -147,7 +125,7 @@ func (h Heuristic) Schedule(g *sched.Graph, d *machine.Desc, ii int) (*sched.Sch
 				}
 			}
 			if !fits(i, slot) {
-				return nil, sched.ErrGiveUp
+				return nil
 			}
 		}
 		place(i, slot)
@@ -161,12 +139,12 @@ func (h Heuristic) Schedule(g *sched.Graph, d *machine.Desc, ii int) (*sched.Sch
 		}
 		budget--
 		if budget <= 0 && remaining > 0 {
-			return nil, sched.ErrGiveUp
+			return nil
 		}
 	}
 	for i := 0; i < n; i++ {
 		if !placed[i] {
-			return nil, sched.ErrGiveUp
+			return nil
 		}
 	}
 	// Normalize: shift so the earliest slot is 0.
@@ -181,5 +159,5 @@ func (h Heuristic) Schedule(g *sched.Graph, d *machine.Desc, ii int) (*sched.Sch
 			sigma[i] -= min
 		}
 	}
-	return &sched.Schedule{II: ii, Time: sigma}, nil
+	return &sched.Schedule{II: ii, Time: sigma}
 }

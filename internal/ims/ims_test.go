@@ -7,6 +7,8 @@ import (
 	"slms/internal/backend"
 	"slms/internal/ir"
 	"slms/internal/machine"
+	"slms/internal/sched"
+	"slms/internal/sched/exact"
 	"slms/internal/source"
 )
 
@@ -160,5 +162,96 @@ func TestEmptyBody(t *testing.T) {
 	b := &ir.Block{}
 	if r := Schedule(b, machine.IA64Like(), true); r.OK {
 		t.Error("empty body must not schedule")
+	}
+}
+
+// heurMissSrc is a loop where the height-priority heuristic lands at
+// II=6 but II=5 is feasible on the ia64-like machine.
+const heurMissSrc = `float A[300]; float B[300]; float D[300]; float E[300]; float F[300];
+for (i = 3; i < 200; i++) {
+  F[i] = (E[i-3] + B[i-1]) * 0.25 + F[i-2];
+  D[i] = D[i] + E[i-3] * 0.5;
+  A[i] = D[i-2] + E[i-3] * 0.5;
+}
+`
+
+// TestExactRefutationImprovesIncumbent pins the driver's contract with
+// an effort set: the heuristic's II is the incumbent, and the exact
+// search's better schedule below it replaces it, with the gap verdict.
+func TestExactRefutationImprovesIncumbent(t *testing.T) {
+	d := machine.IA64Like()
+	b := loopBody(t, heurMissSrc)
+	heur := Schedule(b, d, true)
+	cfg, err := EffortConfig("", "standard")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := ScheduleWith(b, d, true, cfg)
+	if !heur.OK || !r.OK {
+		t.Fatalf("rejected: heuristic %q, with refutation %q", heur.Reason, r.Reason)
+	}
+	if heur.II != 6 || r.II != 5 {
+		t.Fatalf("II heuristic %d, with refutation %d; want 6 and 5", heur.II, r.II)
+	}
+	if o := r.Opt; o == nil || o.Verdict != sched.VerdictGap || o.HeurII != 6 || o.ExactII != 5 {
+		t.Fatalf("verdict %+v, want gap 6->5", r.Opt)
+	}
+}
+
+// TestInvalidIncumbentIsNotAWitness feeds the driver a placement that
+// returns a schedule violating its dependences: sched.Check must reject
+// it, so the exact search runs without a witness and its schedule wins.
+func TestInvalidIncumbentIsNotAWitness(t *testing.T) {
+	d := machine.IA64Like()
+	b := loopBody(t, `
+		float x[128]; float z[128];
+		for (i = 1; i < 120; i++) {
+			x[i] = x[i-1] * z[i];
+		}
+	`)
+	allZero := func(g *sched.Graph, _ *machine.Desc, ii int) *sched.Schedule {
+		return &sched.Schedule{II: ii, Time: make([]int, g.N())}
+	}
+	cfg, err := EffortConfig("exact", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := scheduleWith(b, d, true, cfg, allZero)
+	if !r.OK || r.Opt == nil || r.Opt.Verdict != sched.VerdictExactOnly {
+		t.Fatalf("result %+v, want the exact schedule with an exact-only verdict", r)
+	}
+	if want := Schedule(b, d, true); r.II != want.II {
+		t.Errorf("II %d, want the minimal II %d", r.II, want.II)
+	}
+}
+
+// TestEffortConfig pins the one validation point the pipeline, the
+// CLIs and slmsd share: effort alone selects the refutation budget,
+// and scheduler "exact" is only shorthand for effort "standard".
+func TestEffortConfig(t *testing.T) {
+	for _, c := range []struct {
+		scheduler, effort string
+		budget            int // exact budget; -2 = heuristic only
+	}{
+		{"", "", -2}, {"ims", "", -2}, {"exact", "", 0}, {"ims", "standard", 0},
+		{"exact", "quick", 20_000}, {"", "max", -1},
+	} {
+		cfg, err := EffortConfig(c.scheduler, c.effort)
+		if err != nil {
+			t.Fatalf("%q/%q: %v", c.scheduler, c.effort, err)
+		}
+		ex, _ := cfg.Prove.(*exact.Sched)
+		switch {
+		case c.budget == -2 && cfg.Prove != nil:
+			t.Errorf("%q/%q: configured a refutation, want the heuristic alone", c.scheduler, c.effort)
+		case c.budget != -2 && (ex == nil || ex.Budget != c.budget):
+			t.Errorf("%q/%q: got %+v, want an exact budget of %d", c.scheduler, c.effort, cfg.Prove, c.budget)
+		}
+	}
+	if _, err := EffortConfig("sdc", ""); err == nil || err.Error() != `unknown scheduler "sdc" (want one of [exact ims])` {
+		t.Errorf("unknown scheduler: %v", err)
+	}
+	if _, err := EffortConfig("", "huge"); err == nil || !strings.Contains(err.Error(), "unknown effort") {
+		t.Errorf("unknown effort: %v", err)
 	}
 }

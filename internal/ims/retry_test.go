@@ -7,21 +7,20 @@ import (
 	"slms/internal/sched"
 )
 
-// givingUpScheduler refuses the first fail probes, then delegates to
-// the real heuristic — driving ScheduleWith's II bump-and-retry path a
-// known number of times over one graph.
-type givingUpScheduler struct {
-	Heuristic
+// givingUp refuses the first fail probes, then delegates to the real
+// heuristic — driving the driver's II bump-and-retry path a known number
+// of times over one graph.
+type givingUp struct {
 	fail  int
 	calls int
 }
 
-func (s *givingUpScheduler) Schedule(g *sched.Graph, d *machine.Desc, ii int) (*sched.Schedule, error) {
+func (s *givingUp) place(g *sched.Graph, d *machine.Desc, ii int) *sched.Schedule {
 	s.calls++
 	if s.calls <= s.fail {
-		return nil, sched.ErrGiveUp
+		return nil
 	}
-	return s.Heuristic.Schedule(g, d, ii)
+	return heuristic(g, d, ii)
 }
 
 const retrySrc = `
@@ -34,15 +33,15 @@ const retrySrc = `
 
 // TestPriorityDerivedOncePerIISearch pins the retry-path invariant: the
 // height-based priority order does not depend on the II, so one
-// ScheduleWith call derives it exactly once no matter how many II
+// scheduleWith call derives it exactly once no matter how many II
 // probes the search needs. (The order used to be recomputed — heights,
 // sort and all — on every bumped II.)
 func TestPriorityDerivedOncePerIISearch(t *testing.T) {
 	d := machine.IA64Like()
 	b := loopBody(t, retrySrc)
-	s := &givingUpScheduler{fail: 5}
+	s := &givingUp{fail: 5}
 	before := sched.PriorityComputations()
-	r := ScheduleWith(b, d, true, Config{Scheduler: s})
+	r := scheduleWith(b, d, true, Config{}, s.place)
 	if !r.OK {
 		t.Fatalf("rejected: %s", r.Reason)
 	}
@@ -65,8 +64,8 @@ func BenchmarkIIRetrySearch(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s := &givingUpScheduler{fail: 8}
-		if r := ScheduleWith(blk, d, true, Config{Scheduler: s}); !r.OK {
+		s := &givingUp{fail: 8}
+		if r := scheduleWith(blk, d, true, Config{}, s.place); !r.OK {
 			b.Fatal(r.Reason)
 		}
 	}

@@ -43,22 +43,21 @@ type Compiler struct {
 	// Window bounds the list scheduler's program-order lookahead
 	// (0 = unbounded). Weak compilers schedule within a small window.
 	Window int
-	// Scheduler names the modulo-scheduling backend for IMS-bearing
-	// compiles: "" or "ims" (Rau's heuristic, the default) or "exact"
-	// (the SDC-based exact scheduler, whose first accepted II is proven
-	// minimal). Resolved through the sched registry, so an unknown name
-	// is a compile-time error, never a silent fallback.
+	// Scheduler and Effort configure the one modulo-scheduling driver
+	// of IMS-bearing compiles (see ims.EffortConfig). Effort "" runs
+	// Rau's heuristic alone; "quick", "standard" or "max" set the budget
+	// of the exact search that refutes every II below the heuristic's,
+	// attaching the optimality verdict (Result.Opt) and adopting a
+	// better schedule when one exists. Scheduler "exact" is shorthand
+	// for effort "standard" when no effort is given; "" and "ims"
+	// change nothing. An unknown name or effort is a compile-time
+	// error, never a silent fallback.
 	Scheduler string
-	// Effort tunes the exact search budget: "" or "standard" (the
-	// default budget), "quick" (a small budget), "max" (unlimited).
-	// Under the heuristic backend a non-empty effort additionally runs
-	// the exact prover after the II search, attaching the optimality
-	// verdict (Result.Opt) at that effort.
-	Effort string
+	Effort    string
 }
 
 // SchedulerConfig resolves a scheduler name and effort level into the
-// ims backend configuration (see ims.EffortConfig). The pipeline, the
+// ims driver configuration (see ims.EffortConfig). The pipeline, the
 // CLIs and slmsd all validate through it, so unknown names and effort
 // levels come back as errors listing the accepted values.
 func SchedulerConfig(scheduler, effort string) (ims.Config, error) {

@@ -1,7 +1,8 @@
 // Package exact implements an SDC-based exact modulo scheduler: at a
 // fixed candidate II it either returns a schedule or an UNSAT
-// certificate proving none exists, which turns the II search into a
-// per-loop optimality proof (see sched.Prove).
+// certificate proving none exists. The ims driver runs it only below
+// the heuristic's incumbent II, where each probe refutes that II or
+// improves on the incumbent (see sched.Prove).
 //
 // Formulation. Issue times must satisfy the system of difference
 // constraints (SDC) the dependence edges induce,
@@ -39,74 +40,35 @@ import (
 	"slms/internal/sched"
 )
 
-func init() { sched.Register(&Sched{}) }
-
 // DefaultBudget is the branch-and-bound node budget when none is
 // configured: generous for kernel-scale loop bodies (tens of
 // instructions), final for adversarial ones — the prover then reports
 // budget-exhausted instead of stalling a compile.
 const DefaultBudget = 200_000
 
-// Sched is the exact backend. The zero value uses DefaultBudget; it is
-// registered as "exact".
+// Sched is the exact backend. The zero value uses DefaultBudget.
 type Sched struct {
 	// Budget bounds the branch-and-bound nodes expanded per Schedule
 	// call (0 = DefaultBudget, negative = unlimited).
 	Budget int
 }
 
-// Name implements sched.Scheduler.
-func (*Sched) Name() string { return "exact" }
-
-// Caps implements sched.Scheduler: failures are proofs.
-func (*Sched) Caps() sched.Caps { return sched.Caps{Exact: true} }
-
-// WithBudget returns a copy with the given node budget (the effort
-// knob the pipeline maps request "effort" levels onto).
-func (s *Sched) WithBudget(nodes int) *Sched { return &Sched{Budget: nodes} }
-
 // Schedule implements sched.Scheduler: a schedule at ii, an
 // *sched.Unsat proof that none exists, or an *sched.Budget cut.
 func (s *Sched) Schedule(g *sched.Graph, d *machine.Desc, ii int) (*sched.Schedule, error) {
-	n := g.N()
 	if ii < 1 {
-		return nil, &sched.Unsat{II: ii, Kind: UnsatTrivialKind(), Visited: 1}
+		return nil, &sched.Unsat{II: ii, Kind: sched.UnsatResource, Visited: 1}
 	}
-	if n == 0 {
+	if g.N() == 0 {
 		return &sched.Schedule{II: ii, Time: []int{}}, nil
 	}
-
-	// Root certificate 1: counting bound. More instructions in a class
-	// than II rows can hold is unconditionally infeasible.
-	if u := resourceUnsat(g, d, ii); u != nil {
+	// Root certificates: the counting bound (more instructions in a
+	// class than II rows can hold) and a positive cycle in the t-SDC.
+	if u := sched.ResourceUnsat(g, d, ii); u != nil {
 		return nil, u
 	}
-	// Root certificate 2: positive cycle in the t-SDC. The mii
-	// Bellman–Ford machinery extracts the infeasible constraint cycle.
-	if u := cycleUnsat(g, ii); u != nil {
+	if u := sched.CycleUnsat(g, ii); u != nil {
 		return nil, u
 	}
-
-	st := newSearch(g, d, ii, s.Budget)
-	return st.run()
-}
-
-// UnsatTrivialKind is the certificate kind for a nonsensical II.
-func UnsatTrivialKind() sched.UnsatKind { return sched.UnsatResource }
-
-// resourceUnsat checks the per-class and issue-width counting bounds.
-func resourceUnsat(g *sched.Graph, d *machine.Desc, ii int) *sched.Unsat {
-	var counts [4]int
-	for _, nd := range g.Nodes {
-		counts[nd.FU]++
-	}
-	for fu, c := range counts {
-		if units := sched.UnitsOf(d, machine.FU(fu)); c > ii*units {
-			return &sched.Unsat{II: ii, Kind: sched.UnsatResource, FU: fu, Count: c, Units: units, Visited: 1}
-		}
-	}
-	if iw := sched.IssueWidthOf(d); len(g.Nodes) > ii*iw {
-		return &sched.Unsat{II: ii, Kind: sched.UnsatResource, FU: -1, Count: len(g.Nodes), Units: iw, Visited: 1}
-	}
-	return nil
+	return newSearch(g, d, ii, s.Budget).run()
 }

@@ -4,17 +4,16 @@ import (
 	"errors"
 	"fmt"
 
-	"slms/internal/ddg"
 	"slms/internal/machine"
-	"slms/internal/mii"
 )
 
 // Optimality verdicts. Every corpus loop the prover visits gets exactly
 // one of these.
 const (
-	// VerdictOptimal: the heuristic's II is proven minimal — every
-	// smaller II carries an UNSAT certificate (or is below a lower
-	// bound that is its own certificate).
+	// VerdictOptimal: the heuristic's II is proven minimal — its
+	// schedule witnesses that II, and every smaller II carries an UNSAT
+	// certificate (or is below a lower bound that is its own
+	// certificate).
 	VerdictOptimal = "proven-optimal"
 	// VerdictGap: the exact backend scheduled at a strictly smaller II
 	// than the heuristic, with an UNSAT certificate at that II−1.
@@ -36,8 +35,9 @@ type Optimality struct {
 	Verdict string `json:"verdict"`
 	// HeurII is the heuristic's achieved II (0 = it produced none).
 	HeurII int `json:"heur_ii,omitempty"`
-	// ExactII is the smallest II the exact backend scheduled at
-	// (0 = none found within budget/bound).
+	// ExactII is the proven-minimal II: HeurII when every smaller II
+	// was refuted, the smaller II the exact backend scheduled at, or 0
+	// when the proof was cut short or nothing is feasible.
 	ExactII int `json:"exact_ii,omitempty"`
 	// Gap is HeurII − ExactII when the exact backend strictly wins.
 	Gap int `json:"gap,omitempty"`
@@ -45,169 +45,86 @@ type Optimality struct {
 	Cert string `json:"cert,omitempty"`
 	// Visited is the branch-and-bound effort the proof spent.
 	Visited int `json:"visited,omitempty"`
+	// Schedule is the exact backend's schedule at ExactII when it beat
+	// the heuristic (VerdictGap, VerdictExactOnly); nil otherwise.
+	Schedule *Schedule `json:"-"`
 }
 
 // Prove establishes the minimal feasible II of the graph with an exact
 // backend and compares it against the heuristic's heurII (0 = the
-// heuristic failed). It probes IIs from the analytic lower bound
-// upward to maxII (or heurII, whichever is smaller and positive): every
-// probe either schedules — proving minimality, since all smaller IIs
-// are refuted — or yields an UNSAT certificate; a budget cut ends the
-// proof with VerdictBudget. The backend must be exact (Caps().Exact).
+// heuristic produced no schedule). A positive heurII is a witness: the
+// heuristic's schedule already proves that II feasible, so Prove never
+// searches at heurII or above. It probes IIs from the analytic lower
+// bound up to heurII−1 (maxII without a witness): each probe either
+// schedules — a better schedule, minimal since every smaller II is
+// refuted — or yields an UNSAT certificate. Any other failure (a budget
+// cut) ends the proof with VerdictBudget.
 func Prove(g *Graph, d *machine.Desc, ex Scheduler, heurII, maxII int) *Optimality {
-	if !ex.Caps().Exact {
-		return &Optimality{Verdict: VerdictBudget, HeurII: heurII,
-			Cert: fmt.Sprintf("backend %q is not exact; nothing can be proven", ex.Name())}
-	}
-	n := g.N()
-	if n == 0 {
+	if g.N() == 0 {
 		return &Optimality{Verdict: VerdictOptimal, HeurII: heurII, ExactII: heurII,
 			Cert: "empty body"}
 	}
 	hi := maxII
-	if heurII > 0 && heurII < hi {
+	if heurII > 0 {
 		hi = heurII
 	}
-	if hi < 1 {
-		hi = 1
-	}
-
-	resLB := ResourceMinII(g, d)
-	recLB, recCert := recurrenceMinII(g, hi)
+	recLB := RecurrenceMinII(g, hi)
 	if recLB == 0 {
 		// No II up to the bound beats the recurrence: infeasible, and
 		// the positive cycle at the bound is the certificate.
 		o := &Optimality{Verdict: VerdictInfeasible, HeurII: heurII}
-		if recCert != nil {
-			o.Cert = recCert.Describe()
+		if u := CycleUnsat(g, hi); u != nil {
+			o.Cert = u.Describe()
 		}
 		return o
 	}
-	lb := resLB
-	lbCert := &Unsat{II: resLB - 1, Kind: UnsatResource}
-	fillResourceCert(g, d, resLB-1, lbCert)
+	lb := ResourceMinII(g, d)
+	lastUnsat := ResourceUnsat(g, d, lb-1)
 	if recLB > lb {
 		lb = recLB
-		lbCert = recCert // the cycle forbidding recLB−1
+		lastUnsat = CycleUnsat(g, recLB-1)
 	}
 
-	lastUnsat := lbCert
 	visited := 0
 	for ii := lb; ii <= hi; ii++ {
+		if ii == heurII {
+			return &Optimality{Verdict: VerdictOptimal, HeurII: heurII, ExactII: ii,
+				Cert: certAt(ii, lastUnsat), Visited: visited}
+		}
 		s, err := ex.Schedule(g, d, ii)
 		if s != nil {
-			o := &Optimality{HeurII: heurII, ExactII: ii, Visited: visited}
-			if ii > 1 && lastUnsat != nil {
-				o.Cert = lastUnsat.Describe()
-			} else if ii == 1 {
-				o.Cert = "II=1 is the unconditional minimum"
-			}
-			switch {
-			case heurII == 0:
-				o.Verdict = VerdictExactOnly
-			case ii < heurII:
-				o.Verdict = VerdictGap
-				o.Gap = heurII - ii
-			default:
-				o.Verdict = VerdictOptimal
+			o := &Optimality{Verdict: VerdictExactOnly, HeurII: heurII, ExactII: ii,
+				Cert: certAt(ii, lastUnsat), Visited: visited, Schedule: s}
+			if heurII > 0 {
+				o.Verdict, o.Gap = VerdictGap, heurII-ii
 			}
 			return o
 		}
 		var u *Unsat
-		var bd *Budget
-		switch {
-		case errors.As(err, &u):
-			lastUnsat = u
-			visited += u.Visited
-		case errors.As(err, &bd):
-			return &Optimality{Verdict: VerdictBudget, HeurII: heurII,
-				Visited: visited + bd.Visited,
-				Cert:    fmt.Sprintf("budget cut while probing II=%d (%d nodes expanded)", ii, visited+bd.Visited)}
-		default:
-			// A non-proof failure from a backend claiming exactness is a
-			// contract violation; surface it rather than mislabeling.
+		if !errors.As(err, &u) {
+			var bd *Budget
+			if errors.As(err, &bd) {
+				visited += bd.Visited
+			}
 			return &Optimality{Verdict: VerdictBudget, HeurII: heurII, Visited: visited,
-				Cert: fmt.Sprintf("exact backend failed without a proof at II=%d: %v", ii, err)}
+				Cert: fmt.Sprintf("no proof at II=%d (%d nodes expanded): %v", ii, visited, err)}
 		}
+		lastUnsat = u
+		visited += u.Visited
 	}
-	// Every II up to the bound refuted. If the heuristic scheduled at
-	// heurII this is a contradiction (its schedule is a feasibility
-	// witness) — report it loudly instead of inventing a verdict.
+	// Without a witness, every II up to maxII was refuted.
 	o := &Optimality{Verdict: VerdictInfeasible, HeurII: heurII, Visited: visited}
 	if lastUnsat != nil {
 		o.Cert = lastUnsat.Describe()
 	}
-	if heurII > 0 && heurII <= hi {
-		o.Verdict = VerdictBudget
-		o.Cert = fmt.Sprintf("CONTRADICTION: exact refuted II=%d but the heuristic scheduled there; %s", heurII, o.Cert)
-	}
 	return o
 }
 
-// recurrenceMinII is the recurrence-constrained lower bound: the
-// smallest II admitting no positive-weight cycle, plus the cycle
-// certificate forbidding the II below it (nil when that II is 0).
-// Returns (0, cert-at-bound) when no II up to maxII is valid.
-func recurrenceMinII(g *Graph, maxII int) (int, *Unsat) {
-	dg := toDDG(g)
-	ii := mii.FindMinValid(dg, int64(maxII))
-	if ii == 0 {
-		return 0, cycleCert(g, dg, maxII)
+// certAt renders why no II below ii is feasible: u is the certificate
+// refuting ii−1.
+func certAt(ii int, u *Unsat) string {
+	if ii == 1 {
+		return "II=1 is the unconditional minimum"
 	}
-	if ii <= 1 {
-		return int(ii), nil
-	}
-	return int(ii), cycleCert(g, dg, int(ii)-1)
-}
-
-// toDDG views the machine-level graph through the ddg/mii cycle
-// machinery (Delay ← Lat): the positive-cycle test and the binding-
-// cycle extraction are shared with the source-level MII search.
-func toDDG(g *Graph) *ddg.Graph {
-	dg := &ddg.Graph{N: g.N()}
-	dg.Edges = make([]ddg.Edge, len(g.Edges))
-	for i, e := range g.Edges {
-		dg.Edges[i] = ddg.Edge{From: e.From, To: e.To, Dist: e.Dist, Delay: e.Lat}
-	}
-	return dg
-}
-
-// cycleCert extracts the positive cycle forbidding ii as an Unsat
-// certificate (nil when ii admits a schedule recurrence-wise).
-func cycleCert(g *Graph, dg *ddg.Graph, ii int) *Unsat {
-	if ii < 1 {
-		return nil
-	}
-	cyc := mii.BindingCycle(dg, int64(ii))
-	if cyc == nil {
-		return nil
-	}
-	u := &Unsat{II: ii, Kind: UnsatCycle}
-	for _, e := range cyc {
-		u.Cycle = append(u.Cycle, Edge{From: e.From, To: e.To, Dist: e.Dist, Lat: e.Delay})
-	}
-	return u
-}
-
-// fillResourceCert completes a resource certificate for the class that
-// overflows ii rows (FU = −1 when the issue width is the bound).
-func fillResourceCert(g *Graph, d *machine.Desc, ii int, u *Unsat) {
-	u.FU = -1
-	u.Count = len(g.Nodes)
-	u.Units = IssueWidthOf(d)
-	if ii < 1 {
-		return
-	}
-	var counts [4]int
-	for _, n := range g.Nodes {
-		counts[n.FU]++
-	}
-	for fu, c := range counts {
-		if c > ii*UnitsOf(d, machine.FU(fu)) {
-			u.FU = fu
-			u.Count = c
-			u.Units = UnitsOf(d, machine.FU(fu))
-			return
-		}
-	}
+	return u.Describe()
 }

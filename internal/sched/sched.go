@@ -1,16 +1,11 @@
-// Package sched defines the pluggable machine-level modulo-scheduler
-// interface the strong final compilers draw from. A Scheduler attempts
-// to place the instructions of one loop body into a modulo reservation
-// table at a fixed candidate initiation interval; the II search, the
-// MII lower bounds and the register-pressure rejection stay in the
-// driver (package ims), so heuristic and exact backends are
-// interchangeable per attempt.
-//
-// Two backends register here: "ims", Rau's iterative modulo scheduling
-// heuristic (package ims), and "exact", an SDC-based exact scheduler
-// (package sched/exact) whose per-II failures are proofs — it returns
-// an UNSAT certificate instead of giving up, which is what turns the II
-// search into an optimality prover (see prove.go).
+// Package sched holds the machine-level modulo-scheduling vocabulary
+// the II-search driver (package ims) is built from: the dependence
+// graph of one loop body, the schedule representation and its
+// self-check, the analytic II lower bounds, and the exact backend's
+// contract. The driver runs Rau's heuristic first; its schedule is the
+// incumbent, and an exact Scheduler (package sched/exact) probes only
+// the IIs below it — each probe either refutes that II with an UNSAT
+// certificate or returns a better schedule (see prove.go).
 package sched
 
 import (
@@ -20,7 +15,9 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"slms/internal/ddg"
 	"slms/internal/machine"
+	"slms/internal/mii"
 )
 
 // Node is one schedulable instruction of a loop body: its functional
@@ -66,31 +63,14 @@ type Schedule struct {
 	Time []int
 }
 
-// Caps describes what a backend's answers mean.
-type Caps struct {
-	// Exact: a failure at II proves no schedule exists at that II (the
-	// backend returns *Unsat certificates, not ErrGiveUp), so the first
-	// II it schedules is the proven minimum.
-	Exact bool
-}
-
-// Scheduler is one modulo-scheduling backend.
+// Scheduler is an exact modulo-scheduling backend.
 type Scheduler interface {
-	// Name is the stable registry key ("ims", "exact").
-	Name() string
-	// Caps reports the backend's capability flags.
-	Caps() Caps
 	// Schedule attempts to place every node at initiation interval ii.
-	// Failures are ErrGiveUp (heuristic exhausted, proves nothing), an
-	// *Unsat certificate (exact backends), or *Budget (exact backend
-	// ran out of search budget before either outcome).
+	// A failure is a proof or a cut: an *Unsat certificate that no
+	// schedule exists at ii, or *Budget when the search ran out of
+	// budget before either outcome.
 	Schedule(g *Graph, d *machine.Desc, ii int) (*Schedule, error)
 }
-
-// ErrGiveUp reports a heuristic failure at one II: the backend could
-// not place every instruction within its effort bound. It proves
-// nothing about feasibility — the II search just moves on.
-var ErrGiveUp = errors.New("sched: backend gave up at this II (not a proof of infeasibility)")
 
 // Budget reports that an exact backend exhausted its search budget at
 // one II with neither a schedule nor an UNSAT proof.
@@ -124,8 +104,9 @@ func IssueWidthOf(d *machine.Desc) int {
 // Check verifies a schedule against the graph and machine: every
 // dependence edge holds under the modulo timing, and no reservation-
 // table row overflows a functional unit or the issue width. A nil
-// return is the self-check every backend's output must pass (the fuzz
-// harness and the differential battery both enforce it).
+// return is the self-check every schedule must pass: the driver checks
+// the heuristic's incumbent with it, and the fuzz harness and the
+// differential battery hold the exact backend to it.
 func Check(g *Graph, d *machine.Desc, s *Schedule) error {
 	if s == nil {
 		return errors.New("sched: nil schedule")
@@ -185,6 +166,26 @@ func ResourceMinII(g *Graph, d *machine.Desc) int {
 		m = 1
 	}
 	return m
+}
+
+// RecurrenceMinII is the recurrence-constrained lower bound: the
+// smallest II ≤ maxII that admits no positive-weight dependence cycle
+// (the mii galloping search; validity is monotone in II), or 0 when no
+// II up to maxII does.
+func RecurrenceMinII(g *Graph, maxII int) int {
+	return int(mii.FindMinValid(g.toDDG(), int64(maxII)))
+}
+
+// toDDG views the graph through the ddg/mii cycle machinery
+// (Delay ← Lat): the positive-cycle test and the binding-cycle
+// extraction are shared with the source-level MII search.
+func (g *Graph) toDDG() *ddg.Graph {
+	dg := &ddg.Graph{N: g.N()}
+	dg.Edges = make([]ddg.Edge, len(g.Edges))
+	for i, e := range g.Edges {
+		dg.Edges[i] = ddg.Edge{From: e.From, To: e.To, Dist: e.Dist, Delay: e.Lat}
+	}
+	return dg
 }
 
 // priorityComputations counts how many times a Graph actually derived

@@ -7,8 +7,6 @@ import (
 	"slms/internal/machine"
 	"slms/internal/sched"
 	"slms/internal/sched/exact"
-
-	_ "slms/internal/ims" // register "ims"
 )
 
 func testMachine(intU, fpU, memU, iw int) *machine.Desc {
@@ -18,33 +16,6 @@ func testMachine(intU, fpU, memU, iw int) *machine.Desc {
 		Units:      [4]int{intU, fpU, memU, 1},
 		Lat:        machine.Lat{IntOp: 1, FloatOp: 1, Load: 1, Store: 1, Branch: 1},
 		IntRegs:    64, FPRegs: 64,
-	}
-}
-
-func TestRegistry(t *testing.T) {
-	names := sched.Names()
-	for _, want := range []string{"ims", "exact"} {
-		found := false
-		for _, n := range names {
-			if n == want {
-				found = true
-			}
-		}
-		if !found {
-			t.Fatalf("registry %v missing %q", names, want)
-		}
-	}
-	def, err := sched.Get("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if def.Name() != sched.DefaultName {
-		t.Fatalf("empty name resolved %q, want %q", def.Name(), sched.DefaultName)
-	}
-	if _, err := sched.Get("no-such-backend"); err == nil {
-		t.Fatal("unknown name must error")
-	} else if !strings.Contains(err.Error(), "ims") {
-		t.Fatalf("error should list registered names, got: %v", err)
 	}
 }
 
@@ -184,14 +155,55 @@ func TestProveBudget(t *testing.T) {
 	}
 }
 
-func TestProveRejectsNonExact(t *testing.T) {
-	heur, err := sched.Get("ims")
-	if err != nil {
-		t.Fatal(err)
+// probeLog wraps an exact backend and records every II it is asked to
+// probe; above cutAt it answers with a budget cut instead.
+type probeLog struct {
+	ex     sched.Scheduler
+	cutAt  int
+	probed []int
+}
+
+func (p *probeLog) Schedule(g *sched.Graph, d *machine.Desc, ii int) (*sched.Schedule, error) {
+	p.probed = append(p.probed, ii)
+	if ii >= p.cutAt {
+		return nil, &sched.Budget{II: ii, Visited: 1}
 	}
-	g := &sched.Graph{Nodes: []sched.Node{{FU: machine.FUInt, Lat: 1}}}
-	o := sched.Prove(g, testMachine(1, 1, 1, 1), heur, 1, 4)
-	if o.Verdict != sched.VerdictBudget || !strings.Contains(o.Cert, "not exact") {
-		t.Fatalf("non-exact backend accepted: %+v", o)
+	return p.ex.Schedule(g, d, ii)
+}
+
+// TestProveWitnessNeverProbed pins the witness rule: the heuristic's
+// II is already proven feasible by its schedule, so Prove refutes only
+// the IIs below it and never searches at heurII or above — a search
+// there could only be cut by budget and mislabel a proven loop.
+func TestProveWitnessNeverProbed(t *testing.T) {
+	d := testMachine(1, 1, 1, 1)
+	// A 4-cycle recurrence over two nodes: RecMII = 4, ResMII = 2.
+	g := &sched.Graph{
+		Nodes: []sched.Node{{FU: machine.FUInt, Lat: 2}, {FU: machine.FUInt, Lat: 2}},
+		Edges: []sched.Edge{{From: 0, To: 1, Lat: 2}, {From: 1, To: 0, Dist: 1, Lat: 2}},
+	}
+	for _, heurII := range []int{4, 5, 7} {
+		p := &probeLog{ex: &exact.Sched{Budget: -1}, cutAt: heurII}
+		o := sched.Prove(g, d, p, heurII, 20)
+		for _, ii := range p.probed {
+			if ii >= heurII {
+				t.Errorf("heurII=%d: probed the witnessed II=%d", heurII, ii)
+			}
+		}
+		switch {
+		case heurII == 4:
+			if o.Verdict != sched.VerdictOptimal || o.ExactII != 4 || len(p.probed) != 0 {
+				t.Errorf("heurII at the lower bound: verdict %+v after probes %v, want proven-optimal with no probe", o, p.probed)
+			}
+			if !strings.Contains(o.Cert, "recurrence") {
+				t.Errorf("optimal at RecMII should carry the cycle certificate, got %q", o.Cert)
+			}
+		default:
+			if o.Verdict != sched.VerdictGap || o.ExactII != 4 || o.Gap != heurII-4 || o.Schedule == nil {
+				t.Errorf("heurII=%d: verdict %+v, want gap down to 4 with its schedule", heurII, o)
+			} else if err := sched.Check(g, d, o.Schedule); err != nil || o.Schedule.II != 4 {
+				t.Errorf("heurII=%d: gap schedule at II=%d fails check: %v", heurII, o.Schedule.II, err)
+			}
+		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"slms/internal/machine"
+	"slms/internal/mii"
 )
 
 // UnsatKind classifies an infeasibility certificate.
@@ -38,8 +39,8 @@ func (k UnsatKind) String() string {
 }
 
 // Unsat is a proof that no modulo schedule exists at II. It is the
-// error an exact backend returns in place of ErrGiveUp; the prove
-// driver records the one at II−1 as the optimality certificate.
+// error an exact backend returns for a refuted II; Prove records the
+// one at II−1 as the optimality certificate.
 type Unsat struct {
 	II   int
 	Kind UnsatKind
@@ -81,6 +82,45 @@ func (u *Unsat) Describe() string {
 			u.II, u.Visited)
 	}
 	return fmt.Sprintf("II=%d infeasible", u.II)
+}
+
+// ResourceUnsat is the counting certificate at ii: a functional-unit
+// class (or the issue width) with more instructions than ii rows can
+// hold. Nil when every class fits.
+func ResourceUnsat(g *Graph, d *machine.Desc, ii int) *Unsat {
+	var counts [4]int
+	for _, n := range g.Nodes {
+		counts[n.FU]++
+	}
+	for fu, c := range counts {
+		if units := UnitsOf(d, machine.FU(fu)); c > ii*units {
+			return &Unsat{II: ii, Kind: UnsatResource, FU: fu, Count: c, Units: units, Visited: 1}
+		}
+	}
+	if iw := IssueWidthOf(d); len(g.Nodes) > ii*iw {
+		return &Unsat{II: ii, Kind: UnsatResource, FU: -1, Count: len(g.Nodes), Units: iw, Visited: 1}
+	}
+	return nil
+}
+
+// CycleUnsat is the recurrence certificate at ii: a dependence cycle
+// whose total latency exceeds ii·(total distance), which no assignment
+// of issue times satisfies regardless of resources. The edges are
+// copied field-for-field from the graph, so Recheck's membership test
+// verifies them exactly. Nil when the recurrences alone admit ii.
+func CycleUnsat(g *Graph, ii int) *Unsat {
+	if ii < 1 {
+		return nil
+	}
+	cyc := mii.BindingCycle(g.toDDG(), int64(ii))
+	if cyc == nil {
+		return nil
+	}
+	u := &Unsat{II: ii, Kind: UnsatCycle, Visited: 1}
+	for _, e := range cyc {
+		u.Cycle = append(u.Cycle, Edge{From: e.From, To: e.To, Dist: e.Dist, Lat: e.Delay})
+	}
+	return u
 }
 
 // CycleString renders a dependence cycle compactly.

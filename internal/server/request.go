@@ -27,10 +27,12 @@ type Request struct {
 	Machine  string `json:"machine,omitempty"`
 	Compiler string `json:"compiler,omitempty"`
 	O0       bool   `json:"o0,omitempty"`
-	// Scheduler selects the modulo-scheduling backend for strong-compiler
-	// targets: "ims" (default) or "exact". Effort tunes the exact search
-	// budget ("quick", "standard", "max"); under "ims" a non-empty effort
-	// additionally proves the optimality gap of every scheduled loop.
+	// Effort ("quick", "standard", "max") sets the budget of the exact
+	// search that, on strong-compiler targets, refutes every II below
+	// the heuristic's and adopts a better schedule when one exists; ""
+	// runs the heuristic alone. Scheduler "exact" is shorthand for
+	// effort "standard" when no effort is given; "" and "ims" (the
+	// default) change nothing.
 	Scheduler string `json:"scheduler,omitempty"`
 	Effort    string `json:"effort,omitempty"`
 	// Paper selects the paper's `a; || b;` par-group rendering for

@@ -1,5 +1,10 @@
 package source
 
+import (
+	"crypto/sha256"
+	"sync/atomic"
+)
+
 // Type is the static type of a mini-C expression or variable.
 type Type int
 
@@ -320,6 +325,10 @@ func (*ExprStmt) stmtNode() {}
 // and statements (the model the Tiny tool used — programs are kernels).
 type Program struct {
 	Stmts []Stmt
+
+	// fp memoizes Fingerprint on the AST itself, so the hash lives and
+	// dies with the program.
+	fp atomic.Pointer[[sha256.Size]byte]
 }
 
 // Block returns the program body as a Block.

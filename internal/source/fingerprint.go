@@ -1,16 +1,6 @@
 package source
 
-import (
-	"crypto/sha256"
-	"sync"
-)
-
-// fpMemo caches fingerprints by AST identity. Programs are treated as
-// immutable once built (parsing and the SLMS transform both construct
-// fresh ASTs), so a pointer is a stable identity. The set of distinct
-// programs in a process is small — kernels plus their transformed
-// variants — so the memo is not a leak concern.
-var fpMemo sync.Map // *Program -> [sha256.Size]byte
+import "crypto/sha256"
 
 // Fingerprint returns a content hash of the program: the sha256 of its
 // printed (round-trip) source text, memoized per AST. Two programs with
@@ -18,10 +8,10 @@ var fpMemo sync.Map // *Program -> [sha256.Size]byte
 // (compilation, transformation, simulation) treats them the same. The
 // program must not be mutated after fingerprinting.
 func Fingerprint(p *Program) [sha256.Size]byte {
-	if v, ok := fpMemo.Load(p); ok {
-		return v.([sha256.Size]byte)
+	if h := p.fp.Load(); h != nil {
+		return *h
 	}
 	h := sha256.Sum256([]byte(Print(p)))
-	fpMemo.Store(p, h)
+	p.fp.Store(&h)
 	return h
 }

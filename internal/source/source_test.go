@@ -1,6 +1,8 @@
 package source
 
 import (
+	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -327,5 +329,29 @@ func TestSimplifyPreservesConstantsQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestFingerprintMemoDiesWithProgram fingerprints many distinct parsed
+// programs and drops them: the memoized hash lives on the AST, so once
+// the programs are garbage the heap must come back to where it started
+// (a process-wide memo keyed by *Program would pin every AST).
+func TestFingerprintMemoDiesWithProgram(t *testing.T) {
+	const n = 4000
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	before := ms.HeapAlloc
+	for i := 0; i < n; i++ {
+		p := MustParse(fmt.Sprintf("float A[%d]; for (i = 0; i < %d; i++) { A[i] = A[i] * %d.5 + 1.0; }", i+8, i+4, i))
+		if Fingerprint(p) != Fingerprint(p) {
+			t.Fatal("fingerprint not stable")
+		}
+	}
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	if grown := int64(ms.HeapAlloc) - int64(before); grown > 512<<10 {
+		t.Errorf("heap grew %d KiB over %d dropped programs: fingerprinting retains them", grown>>10, n)
 	}
 }
